@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "apps/workload.h"
+#include "bench_util.h"
 #include "core/metrics.h"
 #include "sim/event_queue.h"
 #include "sim/sharded_engine.h"
@@ -160,6 +161,10 @@ CountingConfig fig2_256() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  cm::bench::maybe_usage(
+      argc, argv, "[--shards N] [out.json]",
+      "Times fig2 and table1_2 runs on both queue backends and the sharded "
+      "engine; writes BENCH_host_perf.json (or out.json).");
   unsigned max_shards = 4;
   std::string out = "BENCH_host_perf.json";
   for (int i = 1; i < argc; ++i) {

@@ -7,7 +7,8 @@ namespace cm::sim {
 Engine::~Engine() {
   // Destroy (without running) any callbacks still queued in each shard's
   // arena; heap-backend and inbox events clean themselves up via
-  // std::function.
+  // std::function. The frame pools, with every block they still hold, die
+  // with shards_.
   for (unsigned s = 0; s < nshards_; ++s) {
     Shard& sh = shards_[s];
     while (!sh.cal.empty()) sh.arena.destroy(sh.cal.pop_move().idx);
@@ -110,6 +111,7 @@ void Engine::step(Shard& sh) {
 void Engine::run() {
   assert(nshards_ == 1 && "multi-shard runs go through sim::ShardedEngine");
   Shard& sh = shards_[tls_shard_];
+  const FramePool::Scope frames = frame_scope(sh);
   if (backend_ == QueueBackend::kCalendar) {
     while (!sh.cal.empty()) step(sh);
   } else {
@@ -122,6 +124,7 @@ void Engine::run() {
 void Engine::run_until(Cycles t) {
   assert(nshards_ == 1 && "multi-shard runs go through sim::ShardedEngine");
   Shard& sh = shards_[tls_shard_];
+  const FramePool::Scope frames = frame_scope(sh);
   if (backend_ == QueueBackend::kCalendar) {
     while (!sh.cal.empty() && sh.cal.min_time() <= t) step(sh);
   } else {
@@ -138,6 +141,7 @@ void Engine::run_until(Cycles t) {
 void Engine::run_bounded(std::size_t max_events) {
   assert(nshards_ == 1 && "multi-shard runs go through sim::ShardedEngine");
   Shard& sh = shards_[tls_shard_];
+  const FramePool::Scope frames = frame_scope(sh);
   for (std::size_t i = 0; i < max_events && !idle(); ++i) step(sh);
   sh.current_home = kNoProc;
   sh.current_label = 0;
@@ -146,6 +150,7 @@ void Engine::run_bounded(std::size_t max_events) {
 void Engine::run_shard_window(unsigned s, Cycles end) {
   tls_shard_ = s;
   Shard& sh = shards_[s];
+  const FramePool::Scope frames = frame_scope(sh);
   if (backend_ == QueueBackend::kCalendar) {
     while (!sh.cal.empty() && sh.cal.min_time() < end) step(sh);
   } else {

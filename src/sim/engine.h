@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "sim/task.h"
 #include "sim/types.h"
 
 namespace cm::check {
@@ -298,7 +299,17 @@ class Engine {
     std::uint64_t inbound = 0;  // cross-shard events received (under mu)
     std::mutex inbox_mu;
     std::vector<InboxEntry> inbox;
+    // Recycled coroutine frames (task.h), created on the shard's first run
+    // so set-up pays nothing for it; current only inside the run loops.
+    std::unique_ptr<FramePool> frames;
   };
+
+  /// Install shard `sh`'s frame pool on this host thread until the
+  /// returned scope ends, creating the pool on the shard's first run.
+  [[nodiscard]] static FramePool::Scope frame_scope(Shard& sh) {
+    if (!sh.frames) sh.frames = std::make_unique<FramePool>();
+    return FramePool::Scope(*sh.frames);
+  }
 
   /// Debug-only half of the past-schedule diagnostic: prints the clamp
   /// distance to stderr, then asserts. The caller increments `clamped`

@@ -11,18 +11,141 @@
 // `Detached` is a fire-and-forget root used to launch top-level threads.
 // `suspend_to(f)` is the escape hatch: suspends the current coroutine and
 // hands its handle to `f`, which arranges resumption via the event engine.
+// `FramePool` recycles the host memory behind those frames, so the message
+// path allocates nothing per activation once a run reaches steady state.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <type_traits>
 #include <utility>
 
+// ASAN_(UN)POISON_MEMORY_REGION; no-ops in builds without AddressSanitizer.
+#include <sanitizer/asan_interface.h>
+
 namespace cm::sim {
 
+/// Free lists of coroutine-frame blocks, one per 32-byte size class up to
+/// 1 KiB. Every `Task` and `Detached` frame is allocated through
+/// `allocate`/`deallocate`; larger frames go straight to global `new`.
+///
+/// Ownership rules:
+///  * A pool is current on a host thread only inside a `Scope`. The engine
+///    opens one per shard around each run loop, so set-up code, the
+///    sharded barrier's serial phase and engine-less tests see no pool and
+///    use global `new`/`delete`.
+///  * Every block is a whole-class-size global allocation, so any pool — or
+///    global `delete` — can free any block. A frame created at set-up may
+///    die inside a run, a frame created on shard A may die on shard B's
+///    host thread (it joins B's lists), and a frame may outlive its engine.
+///  * Each list retains at most `kMaxFree` blocks; the surplus goes back to
+///    global `delete`, which bounds what a pool holds beyond the live peak.
+///  * While a block sits on a list it is ASan-poisoned, so a use of a
+///    destroyed frame still faults under AddressSanitizer.
+class FramePool {
+ public:
+  /// Free blocks retained per size class.
+  static constexpr unsigned kMaxFree = 64;
+
+  FramePool() = default;
+  FramePool(const FramePool&) = delete;
+  FramePool& operator=(const FramePool&) = delete;
+  ~FramePool() {
+    for (std::size_t c = 0; c < kClasses; ++c) {
+      while (Block* b = head_[c]) {
+        ASAN_UNPOISON_MEMORY_REGION(b, block_size(c));
+        head_[c] = b->next;
+        ::operator delete(b, block_size(c));
+      }
+    }
+  }
+
+  /// Installs a pool as this host thread's current pool for its lifetime
+  /// and restores the previous one (normally none) on exit.
+  class Scope {
+   public:
+    explicit Scope(FramePool& pool) noexcept
+        : prev_(std::exchange(current_, &pool)) {}
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+    ~Scope() { current_ = prev_; }
+
+   private:
+    FramePool* prev_;
+  };
+
+  /// The pool current on this host thread, or null outside every Scope.
+  [[nodiscard]] static FramePool* current() noexcept { return current_; }
+
+  static void* allocate(std::size_t n) {
+    if (n > kMaxPooled) return ::operator new(n);
+    const std::size_t c = class_of(n);
+    FramePool* p = current_;
+    if (p == nullptr || p->head_[c] == nullptr) {
+      return ::operator new(block_size(c));
+    }
+    Block* b = p->head_[c];
+    ASAN_UNPOISON_MEMORY_REGION(b, block_size(c));
+    p->head_[c] = b->next;
+    --p->count_[c];
+    return b;
+  }
+
+  static void deallocate(void* b, std::size_t n) noexcept {
+    if (n > kMaxPooled) {
+      ::operator delete(b, n);
+      return;
+    }
+    const std::size_t c = class_of(n);
+    FramePool* p = current_;
+    if (p == nullptr || p->count_[c] == kMaxFree) {
+      ::operator delete(b, block_size(c));
+      return;
+    }
+    p->head_[c] = new (b) Block{p->head_[c]};
+    ++p->count_[c];
+    ASAN_POISON_MEMORY_REGION(b, block_size(c));
+  }
+
+ private:
+  static constexpr std::size_t kGranule = 32;
+  static constexpr std::size_t kMaxPooled = 1024;
+  static constexpr std::size_t kClasses = kMaxPooled / kGranule;
+
+  static constexpr std::size_t class_of(std::size_t n) noexcept {
+    return n == 0 ? 0 : (n - 1) / kGranule;
+  }
+  static constexpr std::size_t block_size(std::size_t c) noexcept {
+    return (c + 1) * kGranule;
+  }
+
+  struct Block {
+    Block* next;
+  };
+  std::array<Block*, kClasses> head_{};
+  std::array<unsigned, kClasses> count_{};
+
+  // This host thread's current pool. Thread-local so each kThreads worker
+  // recycles frames into its own shard's pool and no list is ever shared
+  // between host threads; Scope keeps it null outside engine run loops.
+  // simlint: allow SS001
+  inline static thread_local FramePool* current_ = nullptr;
+};
+
 namespace detail {
+
+/// Routes a coroutine's frame through the current FramePool.
+struct PooledFrame {
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
+};
 
 template <class T>
 struct ValueStore {
@@ -47,7 +170,7 @@ class [[nodiscard]] Task {
  public:
   using value_type = T;
 
-  struct promise_type : detail::ValueStore<T> {
+  struct promise_type : detail::ValueStore<T>, detail::PooledFrame {
     std::coroutine_handle<> continuation;  // who awaits us (may be null)
     std::exception_ptr exception;
 
@@ -122,7 +245,7 @@ class [[nodiscard]] Task {
 
 /// Fire-and-forget root coroutine; self-destroys on completion.
 struct Detached {
-  struct promise_type {
+  struct promise_type : detail::PooledFrame {
     Detached get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <vector>
 
+#include "core/mechanism.h"
 #include "net/constant_net.h"
 #include "sim/engine.h"
 #include "sim/machine.h"
@@ -286,6 +288,14 @@ struct ConcurrencyCase {
   std::uint64_t seed;
   bool replication;
 };
+
+// gtest would otherwise print the raw bytes of the struct, padding included,
+// and ctest names the cases after that text, so the names would change from
+// run to run.
+void PrintTo(const ConcurrencyCase& c, std::ostream* os) {
+  *os << core::mechanism_name(c.mech) << " seed=" << c.seed
+      << (c.replication ? " replicated" : "");
+}
 
 class BTreeConcurrency : public ::testing::TestWithParam<ConcurrencyCase> {};
 
