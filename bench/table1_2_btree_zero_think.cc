@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
     std::printf("%-18s %12.4f %12.4f | %12.2f %12.1f | %9.3f\n",
                 schemes[i].name().c_str(), r.throughput_per_1000(),
                 paper_thr[i], r.words_per_10(), paper_bw[i],
-                r.cache_hit_rate);
+                r.shmem.hit_rate());
     if (json_path != nullptr) {
       cm::core::Metrics& m = reg.record(schemes[i].name());
       m.put("paper_throughput", paper_thr[i]);

@@ -357,7 +357,7 @@ RunStats run_counting(const CountingConfig& cfg) {
                     : ctl.window_words();
   out.messages = fixed ? network.stats().messages - ctl.warm_msgs()
                        : ctl.window_msgs();
-  if (mem != nullptr) out.cache_hit_rate = mem->stats().hit_rate();
+  if (mem != nullptr) out.shmem = mem->stats();
   out.migrations = rt.stats().migrations;
   out.remote_calls = rt.stats().remote_calls;
   out.runtime = rt.stats();
@@ -549,7 +549,7 @@ RunStats run_btree(const BTreeConfig& cfg) {
                     : ctl.window_words();
   out.messages = fixed ? network.stats().messages - ctl.warm_msgs()
                        : ctl.window_msgs();
-  if (mem != nullptr) out.cache_hit_rate = mem->stats().hit_rate();
+  if (mem != nullptr) out.shmem = mem->stats();
   out.migrations = rt.stats().migrations;
   out.remote_calls = rt.stats().remote_calls;
   out.runtime = rt.stats();
@@ -596,7 +596,7 @@ void put_run_stats(core::Metrics& m, const RunStats& s) {
   m.put("messages", s.messages);
   m.put("throughput_per_1000", s.throughput_per_1000());
   m.put("words_per_10", s.words_per_10());
-  m.put("cache_hit_rate", s.cache_hit_rate);
+  m.put("cache_hit_rate", s.shmem.hit_rate());
   m.put("completed_at", s.completed_at);
   m.put("sim.events_executed", s.events_executed);
   m.put("sim.clamped_events", s.clamped_events);

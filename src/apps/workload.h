@@ -25,6 +25,7 @@
 #include "loc/locator.h"
 #include "net/faulty_net.h"
 #include "policy/policy.h"
+#include "shmem/coherent_memory.h"
 #include "sim/event_queue.h"
 #include "sim/sharded_engine.h"
 #include "sim/types.h"
@@ -41,7 +42,7 @@ struct RunStats {
   sim::Cycles window = 0;    // measurement window length
   std::uint64_t words = 0;   // network words sent inside the window
   std::uint64_t messages = 0;
-  double cache_hit_rate = 0.0;  // shared-memory schemes only
+  shmem::MemStats shmem;  // shared-memory schemes only
   std::uint64_t migrations = 0;
   std::uint64_t remote_calls = 0;
   core::RtStats runtime;  // full runtime counters incl. Table-5 breakdown

@@ -51,11 +51,15 @@ class Cache {
   [[nodiscard]] std::uint64_t occupancy() const { return present_; }
 
  private:
+  // The state rides in the top byte of the LRU stamp's word: 56 bits of
+  // stamp outlast any run, and 88 caches of 4,096 ways each are most of a
+  // large shared-memory machine's footprint.
   struct Way {
     Line line = 0;
-    LineState state = LineState::kInvalid;
-    std::uint64_t lru = 0;  // higher = more recent
+    std::uint64_t lru : 56 = 0;  // higher = more recent
+    LineState state : 8 = LineState::kInvalid;
   };
+  static_assert(sizeof(Way) == 16);
 
   [[nodiscard]] std::uint32_t set_of(Line line) const {
     // Fold the home-processor bits (bit 28 up in a line address) into the

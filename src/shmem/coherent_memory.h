@@ -26,7 +26,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -34,7 +33,6 @@
 #include "shmem/addr.h"
 #include "shmem/cache.h"
 #include "sim/machine.h"
-#include "sim/oneshot.h"
 #include "sim/task.h"
 
 namespace cm::shmem {
@@ -121,34 +119,58 @@ class CoherentMemory {
   };
   [[nodiscard]] DirSnapshot dir_snapshot(Line line) const;
 
+  /// Test hook: transaction records currently in use (0 once every miss
+  /// and writeback has completed).
+  [[nodiscard]] std::size_t live_transactions() const noexcept {
+    return txns_.size() - free_txns_.size();
+  }
+
  private:
-  struct Waiter {
-    sim::ProcId requester;
-    bool exclusive;
-    sim::OneShot<sim::Unit> done;
+  static constexpr std::uint32_t kNoTxn = ~std::uint32_t{0};
+
+  /// One coherence transaction: a miss's request/grant round trip, or a
+  /// dirty writeback. Records live in `txns_` (a deque, so a record's
+  /// address is stable while the table grows) and are recycled through
+  /// `free_txns_`; every protocol message names its record by index, so the
+  /// closures the protocol sends stay small enough to never allocate.
+  struct Txn {
+    Line line = 0;
+    sim::ProcId requester = sim::kNoProc;
+    bool exclusive = false;
+    std::uint32_t next = kNoTxn;   // directory FIFO link
+    int acks = 0;                  // invalidation acks still outstanding
+    std::coroutine_handle<> grant_wait;  // requester, parked until the grant
+    std::coroutine_handle<> ack_wait;    // home, parked until the last ack
+    // MSHR: demand accesses that merged with this in-flight transaction.
+    // Cleared, not freed, on recycling, so it keeps its capacity.
+    std::vector<std::coroutine_handle<>> merged;
   };
   struct Dir {
     bool modified = false;
-    sim::ProcId owner = sim::kNoProc;
-    SharerSet sharers;  // full-map presence vector
     bool busy = false;
-    std::deque<Waiter> queue;
+    sim::ProcId owner = sim::kNoProc;
+    std::uint32_t head = kNoTxn;  // FIFO of queued transactions
+    std::uint32_t tail = kNoTxn;
+    SharerSet sharers;  // full-map presence vector
   };
 
   [[nodiscard]] sim::Task<> acquire(sim::ProcId p, Line line, bool exclusive);
 
-  /// Per-(processor, line) miss-status holding register: concurrent
-  /// requests for a line already in flight park here instead of issuing a
-  /// duplicate transaction.
-  struct Mshr {
-    bool exclusive = false;
-    std::vector<std::coroutine_handle<>> waiters;
-  };
-  [[nodiscard]] static std::uint64_t mshr_key(sim::ProcId p, Line line) {
-    return (static_cast<std::uint64_t>(p) << 56) ^ line;
-  }
-  void on_request(sim::ProcId p, Line line, bool exclusive,
-                  sim::OneShot<sim::Unit> done);
+  [[nodiscard]] std::uint32_t new_txn(sim::ProcId p, Line line,
+                                      bool exclusive);
+  void free_txn(std::uint32_t id);
+  /// The transaction `p` has in flight for `line` (its miss-status holding
+  /// register), or kNoTxn.
+  [[nodiscard]] std::uint32_t in_flight(sim::ProcId p, Line line) const;
+
+  /// Send a coherence message whose `deliver` closure fits std::function's
+  /// local buffer (checked at compile time).
+  template <class F>
+  void send(sim::ProcId src, sim::ProcId dst, unsigned words, F deliver);
+  void on_request(std::uint32_t id);
+  void on_invalidate(std::uint32_t id, sim::ProcId sharer);
+  void on_ack(std::uint32_t id);
+  void on_writeback(std::uint32_t id);
   [[nodiscard]] sim::Task<> serve_front(Line line);
   void handle_eviction(sim::ProcId p, const Eviction& victim);
 
@@ -167,7 +189,10 @@ class CoherentMemory {
   std::vector<Cache> caches_;
   sim::ProcessorFile controllers_;  // FCFS memory controllers
   std::unordered_map<Line, Dir> dirs_;
-  std::unordered_map<std::uint64_t, Mshr> mshrs_;
+  std::deque<Txn> txns_;
+  std::vector<std::uint32_t> free_txns_;
+  // Per processor: indices of its in-flight miss transactions.
+  std::vector<std::vector<std::uint32_t>> in_flight_;
   MemStats stats_;
 };
 

@@ -1,7 +1,6 @@
 #include "shmem/sync.h"
 
 #include <cassert>
-#include <utility>
 
 namespace cm::shmem {
 
@@ -32,8 +31,7 @@ sim::Task<> SpinLock::release(sim::ProcId p) {
   // The releasing store invalidates every spinner's Shared copy (the
   // coherence traffic of a contended handoff).
   co_await mem_->write(p, addr_, 4);
-  auto woken = std::exchange(spinners_, {});
-  for (auto h : woken) h.resume();
+  woken_.wake(spinners_);
 }
 
 sim::Task<std::uint64_t> SeqLock::begin_read(sim::ProcId p) {
@@ -62,8 +60,7 @@ sim::Task<> SeqLock::end_write(sim::ProcId p) {
   assert((version_ & 1) == 1);
   ++version_;
   co_await mem_->write(p, addr_, 8);
-  auto woken = std::exchange(waiters_, {});
-  for (auto h : woken) h.resume();
+  woken_.wake(waiters_);
 }
 
 }  // namespace cm::shmem

@@ -18,6 +18,7 @@
 // primitive occupies.
 #pragma once
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <vector>
@@ -26,6 +27,24 @@
 #include "sim/task.h"
 
 namespace cm::shmem {
+
+/// Drains a primitive's wait list without giving up either buffer: `wake`
+/// swaps the waiters into its own vector, resumes them, and clears it, so
+/// both vectors keep their capacity and a steady stream of handoffs
+/// allocates nothing. Waiters that suspend again while it drains land on
+/// the (now empty) wait list, as with a fresh one.
+class WakeList {
+ public:
+  void wake(std::vector<std::coroutine_handle<>>& waiters) {
+    assert(draining_.empty() && "wake list re-entered while draining");
+    draining_.swap(waiters);
+    for (const std::coroutine_handle<> h : draining_) h.resume();
+    draining_.clear();
+  }
+
+ private:
+  std::vector<std::coroutine_handle<>> draining_;
+};
 
 class SpinLock {
  public:
@@ -48,6 +67,7 @@ class SpinLock {
   bool held_ = false;
   sim::ProcId holder_ = sim::kNoProc;
   std::vector<std::coroutine_handle<>> spinners_;
+  WakeList woken_;
 };
 
 class SeqLock {
@@ -76,6 +96,7 @@ class SeqLock {
   Addr addr_;
   std::uint64_t version_ = 0;
   std::vector<std::coroutine_handle<>> waiters_;
+  WakeList woken_;
 };
 
 }  // namespace cm::shmem

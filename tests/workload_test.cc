@@ -67,7 +67,7 @@ TEST(CountingWorkload, SharedMemoryBurnsBandwidth) {
   cfg.scheme = Scheme{Mechanism::kMigration, false, false};
   const RunStats mig = run_counting(cfg);
   EXPECT_GT(sm.words_per_10(), 2.0 * mig.words_per_10());
-  EXPECT_LT(sm.cache_hit_rate, 0.7);  // balancers are write-shared
+  EXPECT_LT(sm.shmem.hit_rate(), 0.7);  // balancers are write-shared
 }
 
 TEST(CountingWorkload, ThinkTimeLowersLoad) {
