@@ -35,6 +35,34 @@ void BM_EngineScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
 
+// Hold model: a fixed number of pending events, each of which reschedules
+// itself on firing. Delays are 1-512 cycles, with a 5 % tail 32 k-256 k
+// cycles ahead (beyond the calendar wheel's span), the shape of the large
+// RPC workload's timeouts and think phases.
+struct HoldTick {
+  sim::Engine* eng;
+  sim::Rng* rng;
+  void operator()() const {
+    const sim::Cycles d = rng->below(20) == 0
+                              ? rng->between(32 * 1024, 256 * 1024)
+                              : rng->between(1, 512);
+    eng->after(d, HoldTick{eng, rng});
+  }
+};
+
+void BM_EngineHold(benchmark::State& state) {
+  constexpr std::size_t kBatch = 10'000;
+  sim::Engine eng;
+  sim::Rng rng(3);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    eng.at(rng.between(1, 512), HoldTick{&eng, &rng});
+  }
+  for (auto _ : state) eng.run_bounded(kBatch);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_EngineHold)->Arg(64)->Arg(1024);
+
 void BM_CacheInstallLookup(benchmark::State& state) {
   shmem::Cache cache;
   sim::Rng rng(1);

@@ -37,7 +37,7 @@ sim::Cycles MeshNetwork::route(sim::ProcId src, sim::ProcId dst,
   const sim::Cycles occupancy =
       cfg_.per_hop + static_cast<sim::Cycles>(cfg_.per_word) * words;
 
-  unsigned x = src % cfg_.width, y = src / cfg_.width;
+  const unsigned x = src % cfg_.width, y = src / cfg_.width;
   const unsigned dx = dst % cfg_.width, dy = dst / cfg_.width;
 
   // This shard's slab of per-link word counters (slab 0 for classic runs).
@@ -45,34 +45,25 @@ sim::Cycles MeshNetwork::route(sim::ProcId src, sim::ProcId dst,
       link_words_.data() + static_cast<std::size_t>(engine_->current_shard()) *
                                links_.size();
 
-  auto cross = [&](unsigned dir, unsigned& coord, bool forward) {
-    const std::size_t li = link_index(x, y, dir);
-    if (cfg_.contention) {
-      Link& link = links_[li];
-      const sim::Cycles begin = std::max(head, link.free_at);
-      link.free_at = begin + occupancy;
-      head = begin + cfg_.per_hop;
-    } else {
-      head += cfg_.per_hop;
+  // Cross `n` links starting at `li`, one link entry forward or back each.
+  auto leg = [&](std::size_t li, bool up, unsigned n) {
+    for (; n > 0; --n, li = up ? li + 1 : li - 1) {
+      if (cfg_.contention) {
+        Link& link = links_[li];
+        const sim::Cycles begin = std::max(head, link.free_at);
+        link.free_at = begin + occupancy;
+        head = begin + cfg_.per_hop;
+      } else {
+        head += cfg_.per_hop;
+      }
+      shard_words[li] += words;
     }
-    shard_words[li] += words;
-    coord = forward ? coord + 1 : coord - 1;
   };
 
-  while (x != dx) {
-    if (x < dx) {
-      cross(0, x, true);
-    } else {
-      cross(1, x, false);
-    }
-  }
-  while (y != dy) {
-    if (y < dy) {
-      cross(2, y, true);
-    } else {
-      cross(3, y, false);
-    }
-  }
+  if (x < dx) leg(link_index(x, y, 0), true, dx - x);
+  if (x > dx) leg(link_index(x, y, 1), false, x - dx);
+  if (y < dy) leg(link_index(dx, y, 2), true, dy - y);
+  if (y > dy) leg(link_index(dx, y, 3), false, y - dy);
   // Tail arrives after the payload has serialised through the final link.
   return head + static_cast<sim::Cycles>(cfg_.per_word) * words;
 }

@@ -64,10 +64,16 @@ class MeshNetwork final : public Network {
     sim::Cycles free_at = 0;
   };
 
-  // Links are indexed by (node, direction): 0=+x, 1=-x, 2=+y, 3=-y.
+  // Links are indexed by (node, direction): 0=+x, 1=-x, 2=+y, 3=-y. Each
+  // direction owns a block of width * height entries, x-links row-major and
+  // y-links column-major, so each leg of a dimension-ordered route walks
+  // consecutive entries.
   [[nodiscard]] std::size_t link_index(unsigned x, unsigned y,
                                        unsigned dir) const {
-    return (static_cast<std::size_t>(y) * cfg_.width + x) * 4 + dir;
+    const std::size_t nodes = std::size_t{cfg_.width} * height_;
+    const std::size_t at = dir < 2 ? std::size_t{y} * cfg_.width + x
+                                   : std::size_t{x} * height_ + y;
+    return dir * nodes + at;
   }
 
   /// Walk the dimension-ordered route for a real message leaving at

@@ -33,7 +33,8 @@ void Engine::configure_shards(unsigned nshards, unsigned nprocs) {
   nshards_ = nshards;
   procs_per_shard_ = (nprocs + nshards - 1) / nshards;
   if (procs_per_shard_ == 0) procs_per_shard_ = 1;
-  if (nshards > 1) shards_ = std::make_unique<Shard[]>(nshards);
+  // For-overwrite: the calendar's slot heads need no zeroing (event_queue.h).
+  if (nshards > 1) shards_ = std::make_unique_for_overwrite<Shard[]>(nshards);
   // One label lane per processor plus lane 0 for setup context, pre-sized
   // so kThreads workers never grow the vector concurrently.
   lane_cnt_.assign(static_cast<std::size_t>(nprocs) + 1, 0);
@@ -53,7 +54,7 @@ void Engine::enqueue_remote(unsigned dst, Cycles t, std::uint64_t label,
 void Engine::drain_inboxes() {
   for (unsigned s = 0; s < nshards_; ++s) {
     Shard& sh = shards_[s];
-    std::vector<InboxEntry> in;
+    std::vector<InboxEntry>& in = sh.inbox_spare;
     {
       const std::lock_guard<std::mutex> g(sh.inbox_mu);
       in.swap(sh.inbox);
@@ -75,11 +76,12 @@ void Engine::drain_inboxes() {
         sh.heap.push(t, e.label, e.home, std::move(e.fn));
       }
     }
+    in.clear();
   }
 }
 
-Cycles Engine::shard_next_time(unsigned s) {
-  Shard& sh = shards_[s];
+Cycles Engine::shard_next_time(unsigned s) const {
+  const Shard& sh = shards_[s];
   if (backend_ == QueueBackend::kCalendar) {
     return sh.cal.empty() ? kNever : sh.cal.min_time();
   }

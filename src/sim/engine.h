@@ -47,10 +47,10 @@ class Tracer;
 /// (time, label) order, advancing the clock as it goes.
 ///
 /// Two queue backends share that contract (see event_queue.h): the default
-/// `kCalendar` hot path stores callbacks in a slab arena behind a two-level
-/// ladder queue; `kHeap` is the legacy binary heap of `std::function`s,
-/// kept as the conformance reference and the host-perf baseline. Same-seed
-/// runs are bit-identical across backends.
+/// `kCalendar` hot path stores callbacks in a slab arena behind a timing
+/// wheel of 24-byte keys; `kHeap` is the legacy binary heap of
+/// `std::function`s, kept as the conformance reference and the host-perf
+/// baseline. Same-seed runs are bit-identical across backends.
 class Engine {
  public:
   /// "No pending event" sentinel for `shard_next_time`, and the window end
@@ -58,7 +58,8 @@ class Engine {
   static constexpr Cycles kNever = ~Cycles{0};
 
   explicit Engine(QueueBackend backend = QueueBackend::kCalendar)
-      : shards_(std::make_unique<Shard[]>(1)), backend_(backend) {
+      : shards_(std::make_unique_for_overwrite<Shard[]>(1)),
+        backend_(backend) {
     tls_shard_ = 0;
   }
   Engine(const Engine&) = delete;
@@ -254,8 +255,9 @@ class Engine {
   void drain_inboxes();
 
   /// Earliest pending timestamp on shard `s`, or kNever when its queue is
-  /// empty. Serial phase only (may re-spill the calendar rung).
-  [[nodiscard]] Cycles shard_next_time(unsigned s);
+  /// empty. Serial phase only. A pure peek: inbox merges may still push
+  /// earlier events afterwards.
+  [[nodiscard]] Cycles shard_next_time(unsigned s) const;
 
   /// Record the exclusive end of the window about to run (kNever outside
   /// windows); cross-shard sends assert against it.
@@ -299,6 +301,9 @@ class Engine {
     std::uint64_t inbound = 0;  // cross-shard events received (under mu)
     std::mutex inbox_mu;
     std::vector<InboxEntry> inbox;
+    // Swapped with `inbox` at each merge and cleared after it, so the two
+    // buffers keep their capacity across windows.
+    std::vector<InboxEntry> inbox_spare;
     // Recycled coroutine frames (task.h), created on the shard's first run
     // so set-up pays nothing for it; current only inside the run loops.
     std::unique_ptr<FramePool> frames;

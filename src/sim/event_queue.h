@@ -15,13 +15,16 @@
 // algorithms rotate the minimum element to the back of the vector, from
 // where it is legitimately moved out.
 //
-// `CalendarQueue` + `EventArena` are the hot path: a two-level ladder queue
-// over 24-byte POD keys (the callback lives in a slab arena and never moves)
-// specialised for the engine's near-monotone timestamps, replacing both the
-// O(log n) heap churn and the per-event `std::function` heap allocation.
+// `CalendarQueue` + `EventArena` are the hot path: a one-cycle-per-slot
+// timing wheel over 24-byte POD keys (the callback lives in a slab arena and
+// never moves) specialised for the engine's near-monotone timestamps,
+// replacing both the O(log n) heap churn and the per-event `std::function`
+// heap allocation. Push and pop are O(1) for keys inside the wheel's span.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -219,116 +222,180 @@ struct EventKey {
 };
 static_assert(sizeof(EventKey) == 24, "home must fit in the old padding");
 
-/// Two-level calendar/ladder queue specialised for a discrete-event engine
-/// whose timestamps are near-monotone (events are overwhelmingly scheduled
-/// a short, bounded distance into the future).
+/// Timing wheel specialised for a discrete-event engine whose timestamps are
+/// near-monotone (events are overwhelmingly scheduled a short, bounded
+/// distance into the future).
 ///
-///  * `near_` — the current "rung": every pending event with t <= horizon_,
-///    kept sorted descending by (t, seq) so the minimum pops from the back
-///    in O(1). Inserts below the horizon binary-search their slot; because
-///    new events carry the largest seq so far, a same-cycle insert lands at
-///    (or next to) the back and moves almost nothing.
-///  * `far_` — everything past the horizon, completely unsorted: insertion
-///    is O(1) and no comparison work is done for events that are not about
-///    to execute.
+///  * The wheel — `kSlots` slots of one cycle each, covering
+///    `[base_, base_ + kSlots)`. A slot holds the keys of its cycle as an
+///    unsorted singly linked list of pooled nodes; a 64-word occupancy
+///    bitmap finds the next non-empty slot with a count-trailing-zeros scan.
+///    Push is O(1) and does no comparison work.
+///  * The batch — when a cycle comes up, its slot is drained into `batch_`
+///    and sorted by label; pops then walk it with a cursor. A push at the
+///    current cycle (a same-cycle follow-up) goes straight into the batch
+///    at its label's place.
+///  * The far heap — keys at or beyond `base_ + kSlots` go into a binary
+///    min-heap on `t`. Once the heap's minimum is at or before the wheel's
+///    next time, `base_` re-anchors there and every heap key now inside the
+///    wheel's span moves into its slot.
 ///
-/// When the rung drains, the queue re-spills: it picks a fresh horizon so
-/// that roughly `kSpillTarget` of the far events fall below it (adapting to
-/// whatever timestamp density the workload exhibits), partitions `far_`
-/// once, and sorts the new rung. Each event is therefore touched by at most
-/// one partition pass plus one O(log r) sort of a small rung — and the
-/// (t, seq) sort makes the pop order *exactly* the total order the heap
-/// backend produces, so same-seed runs are bit-identical across backends.
+/// `base_` is the time of the last pop, and only a pop moves it: callers
+/// peek with `min_time()` and may then push at any time at or after the
+/// last popped one — earlier than the time just peeked — so a peek must
+/// not commit anything. Pop order is *exactly* lexicographic (t, label),
+/// the total order the heap backend produces, so same-seed runs are
+/// bit-identical across backends.
 class CalendarQueue {
  public:
   void push(Cycles t, std::uint64_t seq, std::uint32_t idx,
             std::uint32_t home) {
+    assert(t >= base_ && "CalendarQueue: push before the last popped time");
     ++size_;
-    if (t <= horizon_) {
-      const EventKey k{t, seq, idx, home};
-      near_.insert(std::upper_bound(near_.begin(), near_.end(), k, Greater{}),
-                   k);
+    const EventKey k{t, seq, idx, home};
+    if (t == base_ && pos_ < batch_.size()) {
+      const auto first = batch_.begin() + static_cast<std::ptrdiff_t>(pos_);
+      batch_.insert(std::upper_bound(first, batch_.end(), k, ByLabel{}), k);
+    } else if (t - base_ < kSlots) {
+      link(k);
     } else {
-      if (t < far_min_) far_min_ = t;
-      if (t > far_max_) far_max_ = t;
-      far_.push_back(EventKey{t, seq, idx, home});
+      if (far_.capacity() == 0) far_.reserve(kFirstReserve);
+      far_.push_back(k);
+      std::push_heap(far_.begin(), far_.end(), Later{});
     }
   }
 
-  /// Earliest pending timestamp; undefined when empty. May re-spill (hence
-  /// non-const), but never changes the pop order.
-  [[nodiscard]] Cycles min_time() {
-    if (near_.empty()) refill();
-    return near_.back().t;
+  /// Earliest pending timestamp; undefined when empty. A pure peek.
+  [[nodiscard]] Cycles min_time() const noexcept {
+    if (pos_ < batch_.size()) return base_;
+    const Cycles t = next_wheel_time();
+    return !far_.empty() && far_.front().t < t ? far_.front().t : t;
   }
 
-  /// Remove and return the earliest (t, seq) key.
+  /// Remove and return the earliest (t, label) key.
   [[nodiscard]] EventKey pop_move() {
-    if (near_.empty()) refill();
-    const EventKey k = near_.back();
-    near_.pop_back();
+    if (pos_ == batch_.size()) advance();
     --size_;
-    return k;
+    return batch_[pos_++];
   }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
-  // Strictly-descending order; (t, seq) pairs are unique by construction.
-  struct Greater {
+  static constexpr std::size_t kSlots = 4096;
+  static constexpr std::size_t kWords = kSlots / 64;
+  static constexpr std::uint32_t kNil =
+      std::numeric_limits<std::uint32_t>::max();
+  static constexpr Cycles kNone = std::numeric_limits<Cycles>::max();
+  // Each vector starts at this many entries, not at one: a workload's
+  // queue then grows in a few steps instead of a dozen doublings, and a
+  // small model never grows at all.
+  static constexpr std::size_t kFirstReserve = 64;
+
+  struct Node {
+    EventKey key;
+    std::uint32_t next;
+  };
+
+  // Labels are unique, so within one cycle this is a strict total order.
+  struct ByLabel {
     bool operator()(const EventKey& a, const EventKey& b) const noexcept {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
+      return a.seq < b.seq;
+    }
+  };
+  // Max-heap comparator inverted into a min-heap on t.
+  struct Later {
+    bool operator()(const EventKey& a, const EventKey& b) const noexcept {
+      return a.t > b.t;
     }
   };
 
-  static constexpr std::size_t kSpillTarget = 64;
-
-  void refill() {
-    assert(!far_.empty() && "pop/min on an empty CalendarQueue");
-    if (far_.size() <= 2 * kSpillTarget) {
-      near_.swap(far_);
-      far_.clear();
-      std::sort(near_.begin(), near_.end(), Greater{});
-      horizon_ = near_.front().t;  // max t now owned by the rung
-      far_min_ = std::numeric_limits<Cycles>::max();
-      far_max_ = 0;
-      return;
+  /// Prepend `k` to its slot's list, reusing a pooled node.
+  void link(const EventKey& k) {
+    const std::size_t s = k.t & (kSlots - 1);
+    std::uint64_t& word = bits_[s / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (s % 64);
+    const std::uint32_t next = (word & bit) != 0 ? heads_[s] : kNil;
+    std::uint32_t n = free_;
+    if (n != kNil) {
+      free_ = nodes_[n].next;
+      nodes_[n] = Node{k, next};
+    } else {
+      if (nodes_.capacity() == 0) nodes_.reserve(kFirstReserve);
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.push_back(Node{k, next});
     }
-    // Aim the new horizon so ~kSpillTarget events spill: assume timestamps
-    // spread evenly over [far_min_, far_max_] and take a proportional slice
-    // of the span. Dense clusters just spill a bigger rung once; the rung
-    // is still sorted exactly, so only speed — never order — is heuristic.
-    const Cycles span = far_max_ - far_min_;
-    const Cycles width =
-        std::max<Cycles>(1, span / (far_.size() / kSpillTarget));
-    const Cycles h =
-        far_max_ - far_min_ < width ? far_max_ : far_min_ + width;
-    Cycles nmin = std::numeric_limits<Cycles>::max();
-    Cycles nmax = 0;
-    std::size_t keep = 0;
-    for (EventKey& k : far_) {
-      if (k.t <= h) {
-        near_.push_back(k);
-      } else {
-        if (k.t < nmin) nmin = k.t;
-        if (k.t > nmax) nmax = k.t;
-        far_[keep++] = k;
-      }
-    }
-    far_.resize(keep);
-    std::sort(near_.begin(), near_.end(), Greater{});
-    horizon_ = h;
-    far_min_ = nmin;
-    far_max_ = nmax;
+    heads_[s] = n;
+    word |= bit;
+    ++in_wheel_;
   }
 
-  std::vector<EventKey> near_;  // sorted descending (t, seq); pop from back
-  std::vector<EventKey> far_;   // unsorted overflow, all t > horizon_
-  Cycles horizon_ = 0;
-  Cycles far_min_ = std::numeric_limits<Cycles>::max();
-  Cycles far_max_ = 0;
+  /// Time of the first occupied slot at or after `base_`, or kNone. Every
+  /// wheel key lies in [base_, base_ + kSlots), so the scan wraps once.
+  [[nodiscard]] Cycles next_wheel_time() const noexcept {
+    if (in_wheel_ == 0) return kNone;
+    const std::size_t s0 = base_ & (kSlots - 1);
+    std::size_t w = s0 / 64;
+    std::uint64_t m = bits_[w] & (~std::uint64_t{0} << (s0 % 64));
+    while (m == 0) {
+      w = (w + 1) % kWords;
+      m = bits_[w];
+    }
+    const std::size_t s =
+        w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+    return base_ + ((s - s0) & (kSlots - 1));
+  }
+
+  /// Move to the next pending cycle: re-anchor on the far heap if it is
+  /// due, then drain that cycle's slot into the batch in label order.
+  void advance() {
+    assert(size_ > 0 && "pop on an empty CalendarQueue");
+    batch_.clear();
+    pos_ = 0;
+    Cycles t = next_wheel_time();
+    if (!far_.empty() && far_.front().t <= t) {
+      // Nothing pending is earlier than the heap's minimum, so the wheel
+      // may start there; keys already in the wheel stay inside its span.
+      t = far_.front().t;
+      do {
+        std::pop_heap(far_.begin(), far_.end(), Later{});
+        link(far_.back());
+        far_.pop_back();
+      } while (!far_.empty() && far_.front().t - t < kSlots);
+    }
+    base_ = t;
+    if (batch_.capacity() == 0) batch_.reserve(kFirstReserve);
+    const std::size_t s = t & (kSlots - 1);
+    bits_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
+    for (std::uint32_t n = heads_[s]; n != kNil;) {
+      Node& node = nodes_[n];
+      batch_.push_back(node.key);
+      const std::uint32_t next = node.next;
+      node.next = free_;
+      free_ = n;
+      n = next;
+    }
+    in_wheel_ -= batch_.size();
+    // Lists are built by prepending, so reversing restores push order,
+    // which is label order within each lane.
+    std::reverse(batch_.begin(), batch_.end());
+    if (!std::is_sorted(batch_.begin(), batch_.end(), ByLabel{})) {
+      std::sort(batch_.begin(), batch_.end(), ByLabel{});
+    }
+  }
+
+  // Slot heads are read only where the bitmap has a bit set, so they need
+  // no initialisation (an engine builds its shards without zeroing them).
+  std::array<std::uint32_t, kSlots> heads_;
+  std::array<std::uint64_t, kWords> bits_{};
+  std::vector<Node> nodes_;      // slot-list nodes; free ones chained by next
+  std::vector<EventKey> batch_;  // keys at base_, ascending label from pos_
+  std::vector<EventKey> far_;    // min-heap on t: keys beyond the wheel
+  std::size_t pos_ = 0;
+  std::uint32_t free_ = kNil;
+  std::size_t in_wheel_ = 0;
+  Cycles base_ = 0;
   std::size_t size_ = 0;
 };
 

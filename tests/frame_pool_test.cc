@@ -13,7 +13,9 @@
 //    their engine, are all returned;
 //  * each size class retains at most FramePool::kMaxFree free blocks;
 //  * under kThreads, frames freed on another shard's worker thread stay
-//    race-free (the TSan CI job runs this binary).
+//    race-free (the TSan CI job runs this binary);
+//  * the engine's cross-shard inboxes keep their buffers between windows,
+//    so a longer sharded run does not allocate per window either.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,6 +29,7 @@
 
 #include "apps/workload.h"
 #include "sim/engine.h"
+#include "sim/sharded_engine.h"
 #include "sim/task.h"
 
 namespace {
@@ -191,6 +194,44 @@ TEST(FramePool, ThreadedShardsFreeFramesAcrossWorkers) {
   EXPECT_EQ(thr.completed_at, seq.completed_at);
   EXPECT_EQ(thr.events_executed, seq.events_executed);
   EXPECT_EQ(thr.migrations, seq.migrations);
+}
+
+// Two processors on two shards bounce one event back and forth through the
+// inboxes, one crossing per window. The capture is a single pointer, so
+// the cross-shard std::function stores it inline and the only allocations
+// left are queue and inbox growth, which must not scale with the windows.
+struct PingPong {
+  Engine* eng;
+  int left;
+};
+
+struct Bounce {
+  PingPong* pp;
+  void operator()() const {
+    if (pp->left-- == 0) return;
+    const ProcId other = pp->eng->current_home() == 0 ? 1 : 0;
+    pp->eng->after_on(other, 5, Bounce{pp});
+  }
+};
+
+std::uint64_t ping_pong_allocs(int rounds) {
+  const std::uint64_t a0 = allocs();
+  Engine eng;
+  eng.configure_shards(2, 2);
+  PingPong pp{&eng, rounds};
+  eng.at_on(0, 1, Bounce{&pp});
+  ShardedEngine(eng, ShardOptions{ShardBackend::kSequential, 5, 1}).run();
+  EXPECT_EQ(pp.left, -1);
+  EXPECT_EQ(eng.cross_shard_msgs(), static_cast<std::uint64_t>(rounds));
+  EXPECT_GE(eng.window_count(), static_cast<std::uint64_t>(rounds));
+  return allocs() - a0;
+}
+
+TEST(EngineInbox, DoublingTheWindowsAddsNoAllocations) {
+  const std::uint64_t n = ping_pong_allocs(200);
+  const std::uint64_t n2 = ping_pong_allocs(400);
+  EXPECT_LE(n2, n + kPeakSlack)
+      << "cross-shard windows reallocated the inbox buffers";
 }
 
 }  // namespace

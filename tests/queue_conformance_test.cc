@@ -22,6 +22,7 @@
 #include "core/metrics.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
+#include "sim/sharded_engine.h"
 
 namespace cm::sim {
 namespace {
@@ -171,10 +172,10 @@ TEST(QueueAgreement, RandomizedSchedulesAgreeAcrossBackends) {
 }
 
 TEST(QueueAgreement, LargeMonotoneBurstsAgree) {
-  // Stress the calendar's refill path: bursts far beyond the current
-  // horizon followed by full drains, repeated so the rung is rebuilt many
-  // times with varying widths. The schedule (deltas from now) is generated
-  // once and replayed into both backends.
+  // Stress the calendar's far heap: bursts mostly beyond the wheel's span
+  // followed by full drains, repeated so the wheel re-anchors many times.
+  // The schedule (deltas from now) is generated once and replayed into
+  // both backends.
   Engine cal(QueueBackend::kCalendar);
   Engine heap(QueueBackend::kHeap);
   std::vector<Fired> a;
@@ -197,6 +198,129 @@ TEST(QueueAgreement, LargeMonotoneBurstsAgree) {
   ASSERT_EQ(a.size(), b.size());
   EXPECT_EQ(a, b);
   EXPECT_EQ(cal.events_executed(), heap.events_executed());
+}
+
+// Pits CalendarQueue directly against HeapEventQueue: one randomized
+// stream of pushes and pops, replayed into both, with every peek, pop and
+// size compared. The stream is shaped to hit each internal path of the
+// wheel: labels drawn from several lanes, so they are not monotone at equal
+// t; pushes at the current cycle while its batch is still draining; deltas
+// on both sides of the wheel's span (4095, 4096, 4097) and far beyond it;
+// wheel pushes landing on a time already held by the far heap; and pushes
+// right after a peek, which may land before the peeked time.
+void direct_agreement(std::uint64_t seed) {
+  CalendarQueue cal;
+  HeapEventQueue heap;
+  Rand rng{seed};
+  std::vector<std::uint64_t> lane_cnt(6, 0);
+  std::vector<Cycles> far_targets;  // times first pushed beyond the wheel
+  Cycles now = 0;
+  std::uint32_t idx = 0;
+  auto push = [&](Cycles t) {
+    const std::uint64_t lane = rng.next() % lane_cnt.size();
+    const std::uint64_t seq = (lane << 40) | lane_cnt[lane]++;
+    cal.push(t, seq, idx, 0);
+    heap.push(t, seq, idx, {});
+    ++idx;
+  };
+  for (int round = 0; round < 4'000; ++round) {
+    // Peek, then push: the pushes below may land before the peeked time.
+    if (!heap.empty()) {
+      ASSERT_EQ(cal.min_time(), heap.min_time()) << "round " << round;
+    }
+    const int pushes = static_cast<int>(rng.next() % 4);
+    for (int i = 0; i < pushes; ++i) {
+      const std::uint64_t pick = rng.next() % 16;
+      Cycles d = 0;
+      if (pick < 3) {
+        d = 0;  // same cycle: into the draining batch (or the slot)
+      } else if (pick < 9) {
+        d = 1 + rng.next() % 64;
+      } else if (pick < 12) {
+        d = 4095 + rng.next() % 3;  // last slot, first and second beyond
+      } else if (pick < 14) {
+        d = 4096 + rng.next() % 200'000;
+        far_targets.push_back(now + d);
+      } else if (!far_targets.empty()) {
+        // Revisit a far time: from inside the wheel's span once the clock
+        // has caught up, so the far heap and a slot tie at that t.
+        const Cycles t = far_targets[rng.next() % far_targets.size()];
+        d = t >= now ? t - now : 0;
+      }
+      push(now + d);
+    }
+    const int pops = static_cast<int>(rng.next() % 4);
+    for (int i = 0; i < pops && !heap.empty(); ++i) {
+      ASSERT_EQ(cal.size(), heap.size());
+      ASSERT_EQ(cal.min_time(), heap.min_time()) << "round " << round;
+      const EventKey k = cal.pop_move();
+      const HeapEvent e = heap.pop_move();
+      ASSERT_EQ(std::pair(k.t, k.seq), std::pair(e.t, e.seq))
+          << "round " << round;
+      ASSERT_EQ(k.idx, static_cast<std::uint32_t>(e.home));
+      now = k.t;
+    }
+  }
+  while (!heap.empty()) {
+    ASSERT_EQ(cal.min_time(), heap.min_time());
+    const EventKey k = cal.pop_move();
+    const HeapEvent e = heap.pop_move();
+    ASSERT_EQ(std::pair(k.t, k.seq), std::pair(e.t, e.seq));
+  }
+  EXPECT_TRUE(cal.empty());
+  EXPECT_GT(idx, 5'000U);
+}
+
+TEST(QueueAgreement, CalendarMatchesHeapKeyForKey) {
+  for (std::uint64_t seed : {3ull, 11ull, 2024ull}) {
+    SCOPED_TRACE(seed);
+    direct_agreement(seed);
+  }
+}
+
+// min_time() is a peek: run_until stops on it, and the caller may then
+// schedule something earlier than the time it peeked. The later event sits
+// in the wheel (100) or in the far heap (5,000 and 100,000 cycles ahead).
+TEST_P(QueueConformance, PushAfterPeekMayLandBeforeThePeekedTime) {
+  for (const Cycles later : {Cycles{100}, Cycles{5'000}, Cycles{100'000}}) {
+    Engine eng(GetParam());
+    std::vector<Cycles> fired;
+    auto record = [&eng, &fired] { fired.push_back(eng.now()); };
+    eng.at(10, record);
+    eng.at(10 + later, record);
+    eng.at(10 + later, record);
+    eng.run_until(50);
+    ASSERT_EQ(eng.now(), 10U);
+    eng.at(eng.now() + 1, record);
+    eng.at(eng.now() + 1, record);
+    eng.run();
+    EXPECT_EQ(fired, (std::vector<Cycles>{10, 11, 11, 10 + later, 10 + later}))
+        << "later = " << later;
+  }
+}
+
+// The sharded form of the same trap: the window loop peeks every shard,
+// and the next window's inbox merge pushes events earlier than a shard's
+// peeked next time.
+TEST_P(QueueConformance, InboxEventsMayLandBeforeAShardsPeekedTime) {
+  for (const Cycles later : {Cycles{100}, Cycles{100'000}}) {
+    Engine eng(GetParam());
+    eng.configure_shards(2, 2);  // proc 0 on shard 0, proc 1 on shard 1
+    std::vector<std::pair<Cycles, int>> on1;
+    auto mark = [&eng, &on1](int id) {
+      return [&eng, &on1, id] { on1.emplace_back(eng.now(), id); };
+    };
+    eng.at_on(1, 10 + later, mark(0));
+    eng.at_on(0, 10, [&eng, &mark] {
+      eng.at_on(1, 15, mark(1));  // crosses shards: merged at the barrier
+      eng.at_on(1, 16, mark(2));
+    });
+    ShardedEngine(eng, ShardOptions{ShardBackend::kSequential, 5, 1}).run();
+    const std::vector<std::pair<Cycles, int>> want{
+        {15, 1}, {16, 2}, {10 + later, 0}};
+    EXPECT_EQ(on1, want) << "later = " << later;
+    EXPECT_EQ(eng.cross_shard_msgs(), 2U);
+  }
 }
 
 }  // namespace
