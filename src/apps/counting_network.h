@@ -96,7 +96,7 @@ class CountingNetwork {
   /// The traversal procedure: inject a token on `enter_wire`, traverse to an
   /// output wire, take the next value there. Under kMigration the activation
   /// ends at the final balancer's processor — callers that need the value
-  /// back home follow with `return_home` (or use apps::Requester).
+  /// back home follow with `return_home` (the workload requester loop does).
   [[nodiscard]] sim::Task<long> get_next(core::Ctx& ctx, core::Mechanism mech,
                                          unsigned enter_wire);
 

@@ -4,16 +4,17 @@
 //  * distributed B-tree, 16 requesters over a 10,000-key tree on 48 node
 //    processors (Tables 1-4 and the branching-factor ablation).
 //
-// Each driver builds a complete simulated machine (engine, processors,
-// network, optional coherent memory, runtime, application), runs requester
-// threads through a warmup + measurement window, and reports the paper's
-// two metrics: throughput (operations per 1000 cycles) and network bandwidth
-// (words sent per 10 cycles).
+// Each driver runs its application as a scenario on one apps::Platform
+// (platform.h): a complete simulated machine (engine, processors, network,
+// optional coherent memory, runtime, optional layers) built from the
+// shared PlatformConfig. Requester threads run through a warmup +
+// measurement window, and the run reports the paper's two metrics:
+// throughput (operations per 1000 cycles) and network bandwidth (words sent
+// per 10 cycles).
 #pragma once
 
 #include <cstdint>
 #include <string>
-
 #include <vector>
 
 #include "check/checker.h"
@@ -43,8 +44,6 @@ struct RunStats {
   std::uint64_t words = 0;   // network words sent inside the window
   std::uint64_t messages = 0;
   shmem::MemStats shmem;  // shared-memory schemes only
-  std::uint64_t migrations = 0;
-  std::uint64_t remote_calls = 0;
   core::RtStats runtime;  // full runtime counters incl. Table-5 breakdown
   net::NetStats net;      // full network counters incl. injected faults
   sim::Cycles completed_at = 0;  // engine time when the run drained
@@ -101,7 +100,10 @@ struct RunStats {
   }
 };
 
-struct CountingConfig {
+/// Settings both workloads share: the scheme, the interconnect, the
+/// requesters' pacing and run length, and every optional layer. Each app's
+/// config derives from it and adds only its own fields.
+struct PlatformConfig {
   core::Scheme scheme;
   // Alewife's coherence protocol [CKA91] is LimitLESS with a handful of
   // hardware sharer pointers; 5 matches the Alewife design point the paper
@@ -109,9 +111,7 @@ struct CountingConfig {
   unsigned limitless_pointers = 5;
   bool mesh = true;   // route messages over a 2-D mesh with link
                       // contention instead of the uniform-latency model
-  unsigned requesters = 8;   // 8..64, each on its own processor
   sim::Cycles think = 0;     // 0 or 10,000 in the paper
-  unsigned width = 8;        // 8x8 network = 24 balancers on 24 processors
   Window window{};
   std::uint64_t seed = 1;
 
@@ -141,16 +141,17 @@ struct CountingConfig {
   // with it on or off.
   bool check = false;
   check::CheckConfig check_cfg;
-  // Fail-stop crash tolerance: with `ft.enabled` an ft::FtLayer (failure
-  // detector + recovery) is installed and primed with the fault plan's
-  // planned NIC deaths. Disabled (default) keeps the run bit-identical to a
-  // build without the layer. Pair with `faults.nic_fail_at` and fixed-work
-  // mode so the run drains deterministically.
   // Event-queue backend: kCalendar (default) is the calendar/arena hot
   // path; kHeap is the legacy binary heap kept as the conformance
   // reference and host-perf baseline. Same-seed runs are bit-identical
   // across backends.
   sim::QueueBackend queue_backend = sim::QueueBackend::kCalendar;
+  // Fail-stop crash tolerance: with `ft.enabled` an ft::FtLayer (failure
+  // detector + recovery) is installed and primed with the fault plan's
+  // planned NIC deaths. Disabled (default) keeps the run bit-identical to a
+  // build without the layer. A plan with `faults.nic_fail_at` requires it
+  // (the platform rejects one without); pair it with fixed-work mode so the
+  // run drains deterministically.
   ft::FtConfig ft;
   // Placement policy (DESIGN.md §13): with `policy.enabled` a
   // policy::PolicyEngine samples per-processor load, rebalances hot objects
@@ -166,23 +167,26 @@ struct CountingConfig {
   // seed results are bit-identical across shard counts and backends.
   // Multi-shard runs are restricted to mechanisms whose cross-processor
   // interactions all flow through the network (kRpc / kMigration /
-  // kThreadMigration) with no chaos, ft, distributed locator or
-  // replication; a mesh additionally loses link contention (its per-link
-  // FIFO timeline is inherently global). kThreads with nshards == 1 runs
-  // the classic loop on one worker thread (how chaos soaks ride under
-  // TSan) and allows everything.
+  // kThreadMigration) with no chaos, ft, distributed locator, actuating
+  // policy or replication; a mesh additionally loses link contention (its
+  // per-link FIFO timeline is inherently global). Multi-shard B-tree runs
+  // must also be lookup-only (insert_ratio == 0): splits mutate tree
+  // topology through state no single shard owns. kThreads with
+  // nshards == 1 runs the classic loop on one worker thread (how chaos
+  // soaks ride under TSan) and allows everything.
   unsigned nshards = 1;
   sim::ShardBackend shard_backend = sim::ShardBackend::kSequential;
 };
 
+struct CountingConfig : PlatformConfig {
+  unsigned requesters = 8;  // 8..64, each on its own processor
+  unsigned width = 8;       // 8x8 network = 24 balancers on 24 processors
+};
+
 [[nodiscard]] RunStats run_counting(const CountingConfig& cfg);
 
-struct BTreeConfig {
-  core::Scheme scheme;
-  unsigned limitless_pointers = 5;  // LimitLESS [CKA91]; 0 = full-map
-  bool mesh = true;                 // 2-D mesh instead of uniform latency
+struct BTreeConfig : PlatformConfig {
   unsigned requesters = 16;
-  sim::Cycles think = 0;
   unsigned max_entries = 100;  // paper: <=100; ablation: <=10
   unsigned nkeys = 10'000;
   double insert_ratio = 0.5;  // fraction of operations that are inserts
@@ -193,25 +197,6 @@ struct BTreeConfig {
   // dominant accessor — the workload the rebalancer is built for.
   double key_affinity = 0.0;
   sim::ProcId node_procs = 48;
-  Window window{};
-  std::uint64_t seed = 1;
-
-  // Chaos mode + fixed-work mode + tracing; see CountingConfig.
-  net::FaultPlan faults;
-  core::ReliableConfig reliable;
-  long ops_per_requester = 0;
-  std::string trace_path;
-  loc::LocatorConfig locator;  // see CountingConfig
-  bool check = false;          // see CountingConfig
-  check::CheckConfig check_cfg;
-  ft::FtConfig ft;  // see CountingConfig
-  policy::PolicyConfig policy;  // see CountingConfig
-  sim::QueueBackend queue_backend = sim::QueueBackend::kCalendar;
-  // See CountingConfig. Multi-shard B-tree runs must additionally be
-  // lookup-only (insert_ratio == 0): splits mutate tree topology through
-  // state no single shard owns.
-  unsigned nshards = 1;
-  sim::ShardBackend shard_backend = sim::ShardBackend::kSequential;
 };
 
 [[nodiscard]] RunStats run_btree(const BTreeConfig& cfg);

@@ -153,7 +153,7 @@ struct CheckStats {
   std::uint64_t accesses = 0;        // object-access locality checks
   std::uint64_t lock_attempts = 0;
   std::uint64_t lock_acquires = 0;
-  std::uint64_t moves = 0;           // completed move windows
+  std::uint64_t moves = 0;           // closed move windows (abandoned too)
   std::uint64_t chases = 0;          // forwarding chases traced
   std::uint64_t chase_hops = 0;
   std::uint64_t seqs_sent = 0;

@@ -91,6 +91,13 @@ class FaultTolerance {
   /// How many times Runtime::call re-issues a request whose transfer was
   /// aborted (peer suspected / deadline expired) before throwing FtError.
   [[nodiscard]] virtual unsigned max_call_retries() const = 0;
+  /// A reliable send from `src` to `dst` timed out unacknowledged and is
+  /// about to retransmit. Only suspicion cancels it, so a detector that has
+  /// stopped must resume if either NIC may be dead.
+  virtual void on_send_stalled(sim::ProcId src, sim::ProcId dst) {
+    (void)src;
+    (void)dst;
+  }
 };
 
 }  // namespace cm::core

@@ -41,29 +41,40 @@ sim::Task<> MobileObject::attract(Ctx& ctx) {
     co_return;
   }
   if (ck != nullptr) ck->on_move_begin(id_, ctx.proc);
-  ++moves_;
-  ++rt_->mutable_stats().object_moves;
-  rt_->mutable_stats().moved_object_words += size_words_;
 
   // Control request to the object's current home...
   co_await rt_->charge(ctx.proc, c.sender_total(1), Category::kObjectMove);
-  co_await rt_->transfer(ctx.proc, cur, 1);
-  // ... which packs up the object: unbind it from the local object table,
-  // leave a forwarding address (Emerald-style), marshal the state ...
-  co_await rt_->charge(cur, c.receiver_total(1, false) + c.oid_translation,
-                       Category::kObjectMove);
-  co_await rt_->charge(cur, c.sender_total(size_words_),
-                       Category::kObjectMove);
-  co_await rt_->transfer(cur, ctx.proc, size_words_);
-  // ... and the receiver installs it: a full software reception (a thread
-  // runs the installer), plus rebinding the global object table entry.
-  co_await rt_->charge(ctx.proc,
-                       c.receiver_total(size_words_, /*create_thread=*/true) +
-                           c.oid_translation,
-                       Category::kObjectMove);
-  rt_->objects().move(id_, ctx.proc);
+  const bool asked = co_await rt_->transfer(ctx.proc, cur, 1);
+  bool shipped = false;
+  if (asked) {
+    // ... which packs up the object: unbind it from the local object table,
+    // leave a forwarding address (Emerald-style), marshal the state ...
+    co_await rt_->charge(cur, c.receiver_total(1, false) + c.oid_translation,
+                         Category::kObjectMove);
+    co_await rt_->charge(cur, c.sender_total(size_words_),
+                         Category::kObjectMove);
+    shipped = co_await rt_->transfer(cur, ctx.proc, size_words_);
+  }
+  if (shipped) {
+    // ... and the receiver installs it: a full software reception (a thread
+    // runs the installer), plus rebinding the global object table entry.
+    co_await rt_->charge(
+        ctx.proc,
+        c.receiver_total(size_words_, /*create_thread=*/true) +
+            c.oid_translation,
+        Category::kObjectMove);
+  }
+  // A leg fails only when fail-stop tolerance gave up on a dead NIC, and
+  // recovery may re-home the object while the move is in flight. Either
+  // way the move is abandoned: the object stays where the ObjectSpace says.
+  if (shipped && home() == cur) {
+    rt_->objects().move(id_, ctx.proc);
+    ++moves_;
+    ++rt_->mutable_stats().object_moves;
+    rt_->mutable_stats().moved_object_words += size_words_;
+    if (ck != nullptr) ck->on_move_commit(id_, cur, ctx.proc);
+  }
   if (ck != nullptr) {
-    ck->on_move_commit(id_, cur, ctx.proc);
     ck->on_move_end(id_);
     ck->on_lock_released(&ctx, &transfer_lock_);
   }

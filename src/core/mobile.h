@@ -28,7 +28,10 @@ class MobileObject {
 
   /// Pull the object to `ctx.proc` if it is elsewhere: a control request to
   /// its current home, the object's state back, and a rebind of its home.
-  /// Free when already local. Concurrent movers serialise.
+  /// Free when already local. Concurrent movers serialise. Under fail-stop
+  /// tolerance the move can be abandoned (a leg failed on a dead NIC, or
+  /// recovery re-homed the object meanwhile), leaving the object where it
+  /// was: callers that care where it ended up re-read home().
   [[nodiscard]] sim::Task<> attract(Ctx& ctx);
 
   [[nodiscard]] std::uint64_t moves() const noexcept { return moves_; }

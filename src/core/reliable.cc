@@ -158,6 +158,7 @@ void ReliableTransport::on_timeout(const std::shared_ptr<SendState>& st) {
       }
       return;
     }
+    ft_->on_send_stalled(st->src, st->dst);
   }
   if (st->budget != 0 && st->attempts >= st->budget) {
     ++stats_->delivery_failures;

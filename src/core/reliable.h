@@ -74,7 +74,7 @@ class ReliableTransport {
                                      sim::Cycles deadline = 0);
 
   /// Install the fail-stop suspicion source (null = crash-free behaviour).
-  void set_fault_tolerance(const FaultTolerance* ft) noexcept { ft_ = ft; }
+  void set_fault_tolerance(FaultTolerance* ft) noexcept { ft_ = ft; }
 
   [[nodiscard]] const ReliableConfig& config() const noexcept { return cfg_; }
 
@@ -101,7 +101,7 @@ class ReliableTransport {
   net::Network* network_;
   RtStats* stats_;
   ReliableConfig cfg_;
-  const FaultTolerance* ft_ = nullptr;  // null = never suspect anyone
+  FaultTolerance* ft_ = nullptr;  // null = never suspect anyone
   std::map<std::pair<sim::ProcId, sim::ProcId>, Channel> channels_;
 };
 

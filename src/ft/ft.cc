@@ -27,7 +27,10 @@ FtLayer::FtLayer(core::Runtime& rt, FtConfig cfg, loc::Locator* locator)
 }
 
 FtLayer::~FtLayer() {
-  stop();
+  // Defuse the sweep whatever state it is in: its pending event captures
+  // `this`.
+  running_ = false;
+  sweep_timer_.cancel();
   if (!cfg_.enabled) return;
   if (rt_->fault_tolerance() == this) rt_->set_fault_tolerance(nullptr);
   if (locator_ != nullptr && locator_->attached()) {
@@ -53,6 +56,7 @@ void FtLayer::note_plan(const net::FaultPlan& plan) {
 void FtLayer::start() {
   if (!cfg_.enabled || running_) return;
   running_ = true;
+  stopping_ = false;
   last_heard_.assign(nprocs_, engine().now());
   arm_sweep();
 }
@@ -60,7 +64,34 @@ void FtLayer::start() {
 void FtLayer::stop() {
   if (!running_) return;
   running_ = false;
+  stopping_ = true;
   sweep_timer_.cancel();
+}
+
+void FtLayer::on_send_stalled(ProcId src, ProcId dst) {
+  // Only suspicion cancels a send to or from a dead NIC, so a detector
+  // stopped with the run's last requester resumes when background traffic
+  // (policy reports, digests, moves) stalls on a NIC that has died
+  // unsuspected; otherwise that send would retry forever. Leases restart
+  // now: nobody was heard while the detector slept.
+  if (running_ || !stopping_) return;
+  const Cycles now = engine().now();
+  if (!dead_unsuspected(src, now) && !dead_unsuspected(dst, now)) return;
+  running_ = true;
+  last_heard_.assign(nprocs_, now);
+  arm_sweep();
+}
+
+bool FtLayer::dead_unsuspected(ProcId p, Cycles now) const {
+  const auto it = planned_.find(p);
+  return it != planned_.end() && it->second <= now && !suspected(p);
+}
+
+bool FtLayer::any_dead_unsuspected(Cycles now) const {
+  for (const auto& [p, at] : planned_) {
+    if (dead_unsuspected(p, now)) return true;
+  }
+  return false;
 }
 
 void FtLayer::arm_sweep() {
@@ -96,6 +127,10 @@ void FtLayer::sweep() {
   for (ProcId p = 0; p < nprocs_; ++p) {
     if (suspected(p)) continue;
     if (now - last_heard_[p] > lease) suspect(p, now);
+  }
+  if (stopping_ && !any_dead_unsuspected(now)) {
+    running_ = false;
+    return;
   }
   arm_sweep();
 }

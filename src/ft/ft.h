@@ -133,7 +133,9 @@ class FtLayer final : public core::FaultTolerance {
   void start();
   /// Stop the periodic sweep (in-flight recoveries drain on their own).
   /// Call before draining the engine at the end of a run, or the detector
-  /// keeps the event queue alive forever.
+  /// keeps the event queue alive forever. A send that later stalls on a
+  /// NIC that has died unsuspected resumes the sweep until that NIC is
+  /// suspected (on_send_stalled).
   void stop();
 
   // ---- core::FaultTolerance ----
@@ -157,12 +159,17 @@ class FtLayer final : public core::FaultTolerance {
   [[nodiscard]] unsigned max_call_retries() const override {
     return cfg_.max_call_retries;
   }
+  void on_send_stalled(ProcId src, ProcId dst) override;
 
  private:
   [[nodiscard]] sim::Engine& engine() const {
     return rt_->machine().engine();
   }
   void arm_sweep();
+  /// True if `p`'s planned fail-stop is at or before `now` and `p` is not
+  /// suspected yet.
+  [[nodiscard]] bool dead_unsuspected(ProcId p, Cycles now) const;
+  [[nodiscard]] bool any_dead_unsuspected(Cycles now) const;
   /// One detector round: send heartbeats, expire leases, re-arm.
   void sweep();
   /// Heartbeat delivery at a monitor: renew the sender's lease.
@@ -198,6 +205,7 @@ class FtLayer final : public core::FaultTolerance {
   std::map<ObjectId, std::vector<std::coroutine_handle<>>> waiters_;
   sim::Timer sweep_timer_;
   bool running_ = false;
+  bool stopping_ = false;  // stop() called; a stalled send may resume it
   FtStats stats_;
 };
 

@@ -352,11 +352,15 @@ sim::Task<> PolicyEngine::do_move(Managed* m, ProcId from, ProcId to) {
   const core::CostModel& c = rt_->cost();
   co_await rt_->charge(from, c.sender_total(cfg_.ctl_words),
                        core::Category::kObjectMove);
-  co_await rt_->transfer(from, to, cfg_.ctl_words);
+  // A transfer fails only when fail-stop tolerance gave up on a dead NIC:
+  // the order never arrived, so nothing moves.
+  const bool ordered = co_await rt_->transfer(from, to, cfg_.ctl_words);
+  if (!ordered) co_return;
   co_await rt_->charge(to, c.receiver_total(cfg_.ctl_words, false),
                        core::Category::kObjectMove);
   core::Ctx ctx{rt_, to};
   co_await m->mobile->attract(ctx);
+  if (m->mobile->home() != to) co_return;  // the move was abandoned
   // Keep the replica set's notion of the primary's home current, so a
   // later phase flip serves from the right processor.
   if (m->replica != nullptr) m->replica->rehome(ctx.proc);
@@ -364,14 +368,18 @@ sim::Task<> PolicyEngine::do_move(Managed* m, ProcId from, ProcId to) {
 }
 
 sim::Task<> PolicyEngine::send_report(ProcId from, std::uint8_t level) {
-  co_await rt_->transfer(from, cfg_.coordinator, cfg_.report_words);
-  // Delivered: this continuation runs at the coordinator's events.
-  board_note(from, level);
+  // Delivered: this continuation runs at the coordinator's events. A report
+  // from or to a dead NIC is simply lost; the next round carries the load.
+  const bool delivered =
+      co_await rt_->transfer(from, cfg_.coordinator, cfg_.report_words);
+  if (delivered) board_note(from, level);
 }
 
 sim::Task<> PolicyEngine::send_digest(ProcId to, std::uint32_t round,
                                       std::vector<std::uint8_t> levels) {
-  co_await rt_->transfer(cfg_.coordinator, to, cfg_.digest_words);
+  const bool delivered =
+      co_await rt_->transfer(cfg_.coordinator, to, cfg_.digest_words);
+  if (!delivered) co_return;  // lost with a dead NIC, like a report
   View& v = views_[to];
   if (round > v.round) {
     v.round = round;

@@ -165,6 +165,11 @@ struct ValueStore<void> {
 /// Lazy awaitable coroutine. Created suspended; starts when awaited (or when
 /// `start()` is called by a root). On completion, control transfers
 /// symmetrically to the awaiter. Exceptions propagate to the awaiter.
+///
+/// CAUTION: do not await a Task prvalue inside an `if` condition
+/// (`if (co_await f())`). GCC 12.2 can miscompile the enclosing coroutine:
+/// seen as SIGILL on resume, and in small repros as a misread branch. Bind
+/// the result to a named local first: `const bool ok = co_await f();`.
 template <class T = void>
 class [[nodiscard]] Task {
  public:

@@ -22,8 +22,9 @@ class Timer {
 
   /// Arm the timer: `fn` runs `d` cycles from now unless `cancel()` or a
   /// newer `arm()` intervenes first. The scheduled event holds the control
-  /// block alive, so destroying the Timer while armed is safe (the pending
-  /// event then fires as a no-op).
+  /// block alive, so destroying the Timer while armed is safe for the
+  /// engine, but the pending `fn` still runs: an owner whose `fn` captures
+  /// `this` must cancel() before it goes away.
   void arm(Cycles d, std::function<void()> fn) {
     const std::uint64_t gen = ++ctl_->gen;
     ctl_->armed = true;

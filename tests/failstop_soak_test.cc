@@ -301,5 +301,98 @@ TEST(FailStopSoakChecked, BTreeCrashSoakIsViolationFree) {
   maybe_write_report(on, "failstop-btree");
 }
 
+// ---------------------------------------------------------------------------
+// Fail-stop under an actuating placement policy. Both configs were found by
+// tests/platform_fuzz_test.cc; the policy keeps sending (load reports,
+// digests, rebalance orders) from and to the dead processor.
+// ---------------------------------------------------------------------------
+
+policy::PolicyConfig eager_policy() {
+  policy::PolicyConfig p;
+  p.enabled = true;
+  p.sample_interval = 3'000;
+  p.global_every = 1;
+  p.min_accesses = 3;
+  p.attract_share = 0.55;
+  p.degree_of_migration = 4;
+  return p;
+}
+
+TEST(FailStopSoakPolicy, ReportStalledAfterTheWorkResumesTheDetector) {
+  // Both requesters finish before processor 2 dies, and the last one stops
+  // the detector. Its sampler's load reports ride the reliable transport,
+  // which only a suspicion cancels: unless the stalled report resumed the
+  // detector, it retried forever and the run never drained.
+  CountingConfig cfg;
+  cfg.scheme = Scheme{Mechanism::kMigration, true, true};
+  cfg.seed = 374;
+  cfg.mesh = false;
+  cfg.requesters = 2;
+  cfg.width = 4;
+  cfg.ops_per_requester = 2;
+  cfg.faults.nic_fail_at[2] = 5'659;
+  cfg.ft = ft_on();
+  cfg.policy = eager_policy();
+  cfg.check = true;
+  cfg.queue_backend = sim::QueueBackend::kHeap;
+  const RunStats r = run_counting(cfg);
+
+  EXPECT_EQ(r.ft.suspicions, 1u);
+  EXPECT_EQ(r.total_exited, 2 * 2);
+  EXPECT_TRUE(r.step_property);
+  EXPECT_EQ(r.check.total_violations, 0u) << report_of(r);
+}
+
+TEST(FailStopSoakPolicy, DeathAfterTheRunEndsLeavesItUnchanged) {
+  // A planned death that falls after the run has drained changes nothing:
+  // the detector stops with the last requester and nothing waits for the
+  // death. The baseline's far-future death keeps the same layers installed
+  // (an active plan turns on the reliable transport).
+  CountingConfig cfg;
+  cfg.scheme = Scheme{Mechanism::kRpc, false, false};
+  cfg.seed = 41;
+  cfg.requesters = 4;
+  cfg.width = 4;
+  cfg.ops_per_requester = 5;
+  cfg.ft = ft_on();
+  cfg.policy = eager_policy();
+  cfg.faults.nic_fail_at[2] = ~sim::Cycles{0};
+  const RunStats base = run_counting(cfg);
+  cfg.faults.nic_fail_at[2] = base.completed_at + 1;
+  const RunStats late = run_counting(cfg);
+
+  EXPECT_EQ(late.ft.suspicions, 0u);
+  EXPECT_EQ(late.ops, 4 * 5);
+  EXPECT_EQ(late.completed_at, base.completed_at);
+  EXPECT_EQ(late.events_executed, base.events_executed);
+  EXPECT_EQ(late.words, base.words);
+  EXPECT_EQ(late.messages, base.messages);
+  EXPECT_EQ(late.total_exited, base.total_exited);
+}
+
+TEST(FailStopSoakPolicy, MoveOfAnObjectWhoseHomeDiedIsAbandoned) {
+  // The sampler on processor 3 orders one of its balancers moved just as
+  // the NIC dies; recovery re-homes the balancer while the move's messages
+  // fail. The move must be abandoned, not committed from the dead home
+  // (the checker's move_from_non_owner).
+  CountingConfig cfg;
+  cfg.scheme = Scheme{Mechanism::kMigration, false, false, true};
+  cfg.seed = 373;
+  cfg.limitless_pointers = 0;
+  cfg.requesters = 7;
+  cfg.width = 4;
+  cfg.ops_per_requester = 4;
+  cfg.faults.nic_fail_at[3] = 5'550;
+  cfg.ft = ft_on();
+  cfg.policy = eager_policy();
+  cfg.policy.phase_adaptive = true;
+  cfg.check = true;
+  const RunStats r = run_counting(cfg);
+
+  EXPECT_EQ(r.ft.suspicions, 1u);
+  EXPECT_EQ(r.ops + r.ft_lost_ops, 7 * 4);
+  EXPECT_EQ(r.check.total_violations, 0u) << report_of(r);
+}
+
 }  // namespace
 }  // namespace cm::apps

@@ -105,7 +105,7 @@ TEST(FramePool, DoublingTheRunAddsNoAllocations) {
   const Counted n2 = counted_run(migration_cfg(200));
   ASSERT_EQ(n.stats.total_exited, 16 * 100);
   ASSERT_EQ(n2.stats.total_exited, 16 * 200);
-  ASSERT_GT(n2.stats.migrations, n.stats.migrations + 1000);
+  ASSERT_GT(n2.stats.runtime.migrations, n.stats.runtime.migrations + 1000);
   EXPECT_LE(n2.allocs, n.allocs + kPeakSlack)
       << "activations beyond the first N ops allocated frames on the heap";
 }
@@ -193,7 +193,7 @@ TEST(FramePool, ThreadedShardsFreeFramesAcrossWorkers) {
   EXPECT_EQ(thr.total_exited, 16 * 20);
   EXPECT_EQ(thr.completed_at, seq.completed_at);
   EXPECT_EQ(thr.events_executed, seq.events_executed);
-  EXPECT_EQ(thr.migrations, seq.migrations);
+  EXPECT_EQ(thr.runtime.migrations, seq.runtime.migrations);
 }
 
 // Two processors on two shards bounce one event back and forth through the

@@ -189,6 +189,64 @@ TEST(FtLayer, SuspectedPeerAbortsUnboundedSend) {
   EXPECT_GE(w.rt.stats().delivery_failures, 2u);
 }
 
+TEST(FtLayer, StoppedDetectorResumesForASendStalledOnADeadNic) {
+  // The detector is stopped before processor 2 dies, as at the end of a
+  // run; a send to it afterwards (a late policy report, say) retransmits
+  // until something cancels it. The stall resumes the sweep, the sweep
+  // suspects processor 2 and the send fails, so the engine drains.
+  FtWorld w(4, kill_at(2, 10'000));
+  FtLayer ftl(w.rt, enabled_cfg());
+  ftl.note_plan(w.net.plan());
+  ftl.start();
+  w.eng.run_until(5'000);
+  ftl.stop();
+  EXPECT_FALSE(ftl.running());
+
+  bool ok = true;
+  w.eng.at(12'000, [&] { sim::detach(send_from(&w, 0, 2, 4, &ok)); });
+  w.eng.run();
+
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(ftl.suspected(2));
+  EXPECT_EQ(ftl.stats().suspicions, 1u);
+  EXPECT_FALSE(ftl.running());  // halted again once the death is suspected
+}
+
+TEST(FtLayer, StoppedDetectorStaysStoppedForAFutureDeath) {
+  // A death planned after the run needs no detector: a send between live
+  // processors completes and nothing keeps the engine alive until then.
+  FtWorld w(4, kill_at(2, 1'000'000));
+  FtLayer ftl(w.rt, enabled_cfg());
+  ftl.note_plan(w.net.plan());
+  ftl.start();
+  w.eng.run_until(5'000);
+  ftl.stop();
+
+  bool ok = false;
+  w.eng.at(6'000, [&] { sim::detach(send_from(&w, 0, 1, 4, &ok)); });
+  w.eng.run();
+
+  EXPECT_TRUE(ok);
+  EXPECT_FALSE(ftl.suspected(2));
+  EXPECT_LT(w.eng.now(), 1'000'000u);
+}
+
+TEST(FtLayer, DestroyedLayerLeavesNoLiveSweep) {
+  // A layer destroyed mid-run (its sweep armed) must not be called back
+  // when the engine runs on.
+  FtWorld w(4, kill_at(2, 1'000));
+  {
+    FtLayer ftl(w.rt, enabled_cfg());
+    ftl.note_plan(w.net.plan());
+    ftl.start();
+    w.eng.run_until(3'000);
+    EXPECT_TRUE(ftl.running());
+  }
+  EXPECT_EQ(w.rt.fault_tolerance(), nullptr);
+  w.eng.run();  // the pending sweep event fires as a no-op
+  SUCCEED();
+}
+
 TEST(FtLayer, DeadlineExpiryAbortsSendBeforeSuspicion) {
   // With the detector effectively off (huge interval), only the per-send
   // deadline can cancel — and it must, long before any suspicion exists.

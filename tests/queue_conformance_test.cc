@@ -331,9 +331,10 @@ namespace {
 
 // The strongest conformance statement: the full fig2 / table1_2 workloads
 // produce byte-identical metric exports (every counter, cycle total, and
-// checker report field) whichever backend runs them. The bench goldens pin
-// the calendar backend to the committed outputs; this pins the two
-// backends to each other at test speed.
+// checker report field) whichever backend runs them. The bench goldens
+// (bench/golden/, `ctest -L golden`) pin the calendar backend to the
+// committed outputs; this pins the two backends to each other at test
+// speed.
 std::string metrics_json(const RunStats& s, const char* label) {
   core::MetricsRegistry reg;
   put_run_stats(reg.record(label), s);

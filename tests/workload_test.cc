@@ -114,7 +114,7 @@ TEST(BTreeWorkload, ProducesThroughputAndStaysValid) {
   cfg.window = quick();
   const RunStats s = run_btree(cfg);
   EXPECT_GT(s.ops, 0);
-  EXPECT_GT(s.migrations, 0u);
+  EXPECT_GT(s.runtime.migrations, 0u);
 }
 
 TEST(BTreeWorkload, Deterministic) {
@@ -159,6 +159,31 @@ TEST(BTreeWorkload, SharedMemoryUsesMostBandwidth) {
   cfg.scheme = Scheme{Mechanism::kMigration, false, true};
   const RunStats cp = run_btree(cfg);
   EXPECT_GT(sm.words_per_10(), cp.words_per_10());
+}
+
+// A run without requesters has no work and no key slices to carve; the
+// platform rejects it for both apps with a one-line diagnostic instead of
+// dividing by zero (B-tree) or draining an empty engine (counting).
+TEST(WorkloadDeathTest, ZeroRequestersAreRejected) {
+  CountingConfig counting;
+  counting.requesters = 0;
+  EXPECT_DEATH((void)run_counting(counting),
+               "workload: a run needs at least one requester");
+  BTreeConfig btree;
+  btree.requesters = 0;
+  btree.nkeys = 100;
+  EXPECT_DEATH((void)run_btree(btree),
+               "workload: a run needs at least one requester");
+}
+
+// Without the ft layer nothing cancels the reliable transport's
+// retransmissions to a dead NIC, so the run would never drain.
+TEST(WorkloadDeathTest, NicDeathWithoutFtIsRejected) {
+  CountingConfig cfg;
+  cfg.ops_per_requester = 5;
+  cfg.faults.nic_fail_at[2] = 3'000;
+  EXPECT_DEATH((void)run_counting(cfg),
+               "workload: a planned NIC death needs the ft layer");
 }
 
 }  // namespace
